@@ -200,51 +200,80 @@ func hitStream(seed uint64, client int, tuples []request) func() request {
 // the benchmark simulations behind the shapes are shared and run in
 // set-up.
 func missShapes() []soferr.Spec {
-	bench := func(name string) soferr.TraceSpec {
-		return soferr.TraceSpec{Kind: soferr.TraceKindBenchmark, Benchmark: name, Instructions: poolInstructions}
+	bench := func(name, unit string) soferr.TraceSpec {
+		return soferr.TraceSpec{Kind: soferr.TraceKindBenchmark, Benchmark: name, Unit: unit, Instructions: poolInstructions}
 	}
 	one := func(ts soferr.TraceSpec) soferr.Spec {
 		return soferr.Spec{Components: []soferr.ComponentSpec{{RatePerYear: 1, Trace: ts}}}
 	}
 	return []soferr.Spec{
-		one(bench("gzip")),
-		one(bench("swim")),
-		one(bench("mcf")),
-		one(soferr.TraceSpec{Kind: soferr.TraceKindBusyIdle, PeriodSeconds: 86400, BusySeconds: 3600}),
-		one(soferr.TraceSpec{Kind: soferr.TraceKindDay}),
-		one(soferr.TraceSpec{Kind: soferr.TraceKindWeek}),
-		{Components: []soferr.ComponentSpec{
+		shapeGzip:   one(bench("gzip", "")),
+		shapeSwim:   one(bench("swim", "")),
+		shapeMcf:    one(bench("mcf", "")),
+		shapeArt:    one(bench("art", "")),
+		shapeEquake: one(bench("equake", "")),
+		shapeSwimRF: one(bench("swim", soferr.UnitRegFile)),
+		shapeLoop: {Components: []soferr.ComponentSpec{
 			{Name: "loop", RatePerYear: 1, Trace: soferr.TraceSpec{Kind: soferr.TraceKindBusyIdle, PeriodSeconds: 7200, BusySeconds: 5400}},
 			{Name: "sched", RatePerYear: 1, Trace: soferr.TraceSpec{Kind: soferr.TraceKindDay}},
 		}},
-		one(soferr.TraceSpec{Kind: soferr.TraceKindCombined}),
+		shapeCombined: one(soferr.TraceSpec{Kind: soferr.TraceKindCombined}),
 	}
 }
 
+// Indices into missShapes.
+const (
+	shapeGzip = iota
+	shapeSwim
+	shapeMcf
+	shapeArt
+	shapeEquake
+	shapeSwimRF
+	shapeLoop
+	shapeCombined
+)
+
+// missMix is one cycle of serve-miss requests: a shape and the engine
+// the request names, "" for the server's default (superposed).
+//
+// The mix sets where the median request falls. On the reference host a
+// request's latency grows with host load by more the shorter it is:
+// from calm to loaded spells, CPU time per round rose 1.25x, queries of
+// 0.1-0.6 ms slowed 1.5-2x and queries of 3 ms and more 1.2-1.3x. So
+// the median lands inside a plateau of long, alike queries: art and
+// equake under the default engine, about 2.7 ms each, are 6 of the 14
+// requests. Five cheaper requests lie below them (four fused queries
+// and the 2-component loop) and three dearer ones above (5-50 ms). mcf
+// under the default engine sets latency_p99_ms.
+var missMix = [...]struct {
+	shape  int
+	engine string
+}{
+	{shapeArt, ""}, {shapeGzip, "fused"}, {shapeEquake, ""}, {shapeMcf, ""},
+	{shapeArt, ""}, {shapeSwim, "fused"}, {shapeEquake, ""}, {shapeGzip, ""},
+	{shapeArt, ""}, {shapeMcf, "fused"}, {shapeEquake, ""}, {shapeSwimRF, ""},
+	{shapeCombined, "fused"}, {shapeLoop, ""},
+}
+
 // missStream returns client c's serve-miss request sequence. Request k
-// uses shape (k + c) mod len(shapes) with a fresh name, fresh rates and
-// a fresh seed. Each pass over the shapes alternates between the
-// server's default engine and "fused", so every client sends every
-// (shape, engine) pair equally often whatever the seed. Each query asks
-// for one Monte-Carlo worker: with one client per core, a cheap query
-// then runs beside an expensive one instead of time-slicing with its
-// workers, so latency reflects query cost rather than preemption.
+// is entry (k + c) mod len(missMix) of the mix, on its shape with a
+// fresh name, fresh rates and a fresh seed, so the mix is the same
+// whatever the seed. Each query asks for one Monte-Carlo worker, so its
+// kernel keeps to one core and the other stays free for the runtime
+// and the transport.
 func missStream(seed uint64, client int, shapes []soferr.Spec) func() request {
 	r := newRand(seed, streamMissClient+uint64(client))
 	k := 0
 	return func() request {
-		shape := shapes[(k+client)%len(shapes)]
+		mix := missMix[(k+client)%len(missMix)]
 		spec := soferr.Spec{
 			Name:       fmt.Sprintf("miss-%d-%d", client, k),
-			Components: append([]soferr.ComponentSpec(nil), shape.Components...),
+			Components: append([]soferr.ComponentSpec(nil), shapes[mix.shape].Components...),
 		}
 		for i := range spec.Components {
 			spec.Components[i].RatePerYear = rate(r)
 		}
-		w := wireRequest{Spec: spec, Method: "montecarlo", Trials: missTrials, Seed: r.Uint64(), Workers: 1}
-		if (k/len(shapes)+client)%2 == 1 {
-			w.Engine = "fused"
-		}
+		w := wireRequest{Spec: spec, Method: "montecarlo", Trials: missTrials, Seed: r.Uint64(), Workers: 1, Engine: mix.engine}
 		k++
 		req := encodeRequest("/v1/mttf", w)
 		req.sample = r.IntN(16) == 0

@@ -25,8 +25,8 @@ const (
 	// and handler replays run.
 	replayRequests = 4096
 	// replayMiss is how many serve-miss requests per client the
-	// Monte-Carlo replay runs: every (shape, engine) pair four times.
-	replayMiss = 32
+	// Monte-Carlo replay runs: the mix four times.
+	replayMiss = missRound
 	// httpProbe is the traced loopback phase that splits a round trip
 	// into handler and transport time.
 	httpProbe = 1500 * time.Millisecond

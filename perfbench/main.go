@@ -22,6 +22,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"sort"
 	"time"
 )
@@ -42,12 +43,19 @@ type bench interface {
 type workload struct {
 	name  string
 	setup func(ctx context.Context, seed uint64) (bench, error)
+	// procs, when non-zero, is the GOMAXPROCS the workload runs with.
+	procs int
 }
 
+// The serve workloads run on one P. The client goroutine, the handler
+// and the transport then hand off on one thread. With a second P, each
+// hand-off woke a parked thread on the other vCPU. The cost of that
+// wake-up follows the load on the shared host, and it moved
+// latency_p50_ms further than the CPU time per request.
 var workloads = []workload{
-	{"repro", setupRepro},
-	{"serve-hit", setupServeHit},
-	{"serve-miss", setupServeMiss},
+	{"repro", setupRepro, 0},
+	{"serve-hit", setupServeHit, 1},
+	{"serve-miss", setupServeMiss, 1},
 }
 
 // phase is what one timed run of a workload measured.
@@ -132,6 +140,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return errors.New("want --seconds > 0 and --trace 0 or 1")
 	}
 	d := time.Duration(*seconds * float64(time.Second))
+	if wl.procs > 0 {
+		runtime.GOMAXPROCS(wl.procs)
+	}
 
 	st := newStamp(wl.name, *seed)
 	var res result

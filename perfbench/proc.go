@@ -128,9 +128,6 @@ func newStamp(workload string, seed uint64) stamp {
 		Commit:     "unknown",
 		Source:     sourceDigest("."),
 	}
-	if workload == "repro" {
-		st.Clients = 1
-	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "vcs.revision" {

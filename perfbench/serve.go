@@ -19,15 +19,20 @@ import (
 	"github.com/soferr/soferr/internal/server"
 )
 
-// clients is the closed-loop client count of the serve workloads: one
-// per core of the 2-core reference host.
-const clients = 2
+// clients is the closed-loop client count of the serve workloads. With
+// one client a request's latency is its own service time plus
+// transport. With two on the 2-core reference host, the median request
+// also waited for a core behind the other client's query and the
+// runtime's goroutines, and its latency followed host load about twice
+// as strongly as throughput did.
+const clients = 1
 
-// Round sizes: a serve round is this many completed requests, about a
-// quarter of a second of work on the reference host.
+// Round sizes: a serve round is this many completed requests, under
+// half a second of work on the reference host. A serve-miss round sends
+// the mix four times.
 const (
 	hitRound  = 4096
-	missRound = 64
+	missRound = 4 * len(missMix)
 )
 
 // missSamplesPerClient caps the serve-miss answers re-computed in
